@@ -12,12 +12,13 @@
 //! fixed-size experiments whose means are stable enough on shared CI runners
 //! to make a 25% swing meaningful. Load-dependent series (the concurrent
 //! serving closed loops) and anything not in the allowlist are reported but
-//! never fail the gate. Missing series — a bench that did not run in this CI
-//! job, or a series that did not exist at baseline time — are reported and
-//! skipped, so partial bench runs stay diffable.
+//! never fail the gate. A gated series of the baseline that is missing from
+//! the current snapshot fails the gate: a regression gate is only as good as
+//! the series it covers. A missing ungated series is reported and skipped.
 //!
-//! Exit status: 0 when no gated regression exceeds the threshold, 1
-//! otherwise. `--threshold <percent>` overrides the default 25.
+//! Exit status: 0 when every gated series is present and none regresses by
+//! more than the threshold, 1 otherwise. `--threshold <percent>` overrides
+//! the default 25.
 
 use serde_json::{Number, Value};
 use std::process::ExitCode;
@@ -28,10 +29,8 @@ use std::process::ExitCode;
 const GATED_PREFIXES: &[&str] = &[
     "sec85_department/",
     "service_deltas/",
-    "fig8_switch_models/",
     "full_scale/",
     "generators/",
-    "persistent_cache/",
 ];
 
 /// Default regression threshold: mean more than 25% above baseline fails.
@@ -64,6 +63,66 @@ fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
 
 fn gated(label: &str) -> bool {
     GATED_PREFIXES.iter().any(|p| label.starts_with(p))
+}
+
+/// The result of diffing a current snapshot against a baseline.
+#[derive(Debug, Default)]
+struct Diff {
+    /// One report line per baseline series and per new series.
+    lines: Vec<String>,
+    /// Series present in both snapshots.
+    compared: usize,
+    /// Gated series whose mean regressed past the threshold, with the change
+    /// in percent.
+    regressions: Vec<(String, f64)>,
+    /// Gated series of the baseline missing from the current snapshot.
+    missing: Vec<String>,
+}
+
+impl Diff {
+    fn passed(&self) -> bool {
+        self.regressions.is_empty() && self.missing.is_empty()
+    }
+}
+
+fn diff(baseline: &[(String, f64)], current: &[(String, f64)], threshold: f64) -> Diff {
+    let mut out = Diff::default();
+    for (label, base_mean) in baseline {
+        let gate = gated(label);
+        let Some((_, cur_mean)) = current.iter().find(|(l, _)| l == label) else {
+            if gate {
+                out.lines.push(format!(
+                    "{label}: gated series missing from the current snapshot [MISSING]"
+                ));
+                out.missing.push(label.clone());
+            } else {
+                out.lines.push(format!(
+                    "{label}: not in the current snapshot (bench not run), skipped"
+                ));
+            }
+            continue;
+        };
+        let delta_percent = (cur_mean - base_mean) / base_mean * 100.0;
+        let verdict = if gate && delta_percent > threshold {
+            out.regressions.push((label.clone(), delta_percent));
+            "REGRESSED"
+        } else if gate {
+            "ok"
+        } else {
+            "info"
+        };
+        out.compared += 1;
+        out.lines.push(format!(
+            "{label}: {base_mean:.0} -> {cur_mean:.0} ns ({delta_percent:+.1}%) [{verdict}]"
+        ));
+    }
+    for (label, _) in current {
+        if !baseline.iter().any(|(l, _)| l == label) {
+            out.lines
+                .push(format!("{label}: new series (not in the baseline)"));
+        }
+    }
+    out
 }
 
 fn main() -> ExitCode {
@@ -99,47 +158,84 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut regressions = Vec::new();
-    let mut compared = 0usize;
-    for (label, base_mean) in &baseline {
-        let Some((_, cur_mean)) = current.iter().find(|(l, _)| l == label) else {
-            println!("bench-diff: {label}: not in {current_path} (bench not run), skipped");
-            continue;
-        };
-        let delta_percent = (cur_mean - base_mean) / base_mean * 100.0;
-        let gate = gated(label);
-        let verdict = if gate && delta_percent > threshold {
-            regressions.push((label.clone(), delta_percent));
-            "REGRESSED"
-        } else if gate {
-            "ok"
-        } else {
-            "info"
-        };
-        compared += 1;
-        println!(
-            "bench-diff: {label}: {base_mean:.0} -> {cur_mean:.0} ns ({delta_percent:+.1}%) [{verdict}]"
-        );
+    let result = diff(&baseline, &current, threshold);
+    for line in &result.lines {
+        println!("bench-diff: {line}");
     }
-    for (label, _) in &current {
-        if !baseline.iter().any(|(l, _)| l == label) {
-            println!("bench-diff: {label}: new series (not in {baseline_path})");
+    if result.passed() {
+        println!(
+            "bench-diff: {} series compared, no gated mean regression above {threshold}%",
+            result.compared
+        );
+        return ExitCode::SUCCESS;
+    }
+    if !result.missing.is_empty() {
+        eprintln!(
+            "bench-diff: {} gated series missing from {current_path}:",
+            result.missing.len()
+        );
+        for label in &result.missing {
+            eprintln!("  {label}");
         }
     }
-
-    if regressions.is_empty() {
-        println!(
-            "bench-diff: {compared} series compared, no gated mean regression above {threshold}%"
-        );
-        ExitCode::SUCCESS
-    } else {
+    if !result.regressions.is_empty() {
         eprintln!(
             "bench-diff: {} gated series regressed more than {threshold}%:",
-            regressions.len()
+            result.regressions.len()
         );
-        for (label, delta) in &regressions {
+        for (label, delta) in &result.regressions {
             eprintln!("  {label}: {delta:+.1}%");
         }
-        ExitCode::FAILURE
+    }
+    ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(series: &[(&str, f64)]) -> Vec<(String, f64)> {
+        series.iter().map(|&(l, m)| (l.to_string(), m)).collect()
+    }
+
+    #[test]
+    fn missing_gated_series_fails() {
+        let base = snapshot(&[("full_scale/table2_router/egress", 100.0)]);
+        let result = diff(&base, &[], DEFAULT_THRESHOLD_PERCENT);
+        assert!(!result.passed());
+        assert_eq!(result.missing, vec!["full_scale/table2_router/egress"]);
+    }
+
+    #[test]
+    fn missing_ungated_series_is_reported_and_skipped() {
+        let base = snapshot(&[
+            ("concurrent_serve/queries/1", 100.0),
+            ("sec85_department/inbound_scan", 100.0),
+        ]);
+        let cur = snapshot(&[("sec85_department/inbound_scan", 101.0)]);
+        let result = diff(&base, &cur, DEFAULT_THRESHOLD_PERCENT);
+        assert!(result.passed());
+        assert_eq!(result.compared, 1);
+        assert!(result
+            .lines
+            .iter()
+            .any(|l| l.starts_with("concurrent_serve/queries/1:") && l.ends_with("skipped")));
+    }
+
+    #[test]
+    fn gated_regression_over_threshold_fails() {
+        let base = snapshot(&[
+            ("service_deltas/incremental/1", 100.0),
+            ("generators/build/fat_tree", 100.0),
+        ]);
+        let cur = snapshot(&[
+            ("service_deltas/incremental/1", 130.0),
+            ("generators/build/fat_tree", 120.0),
+        ]);
+        let result = diff(&base, &cur, DEFAULT_THRESHOLD_PERCENT);
+        assert!(!result.passed());
+        assert_eq!(result.regressions.len(), 1);
+        assert_eq!(result.regressions[0].0, "service_deltas/incremental/1");
+        assert!(result.missing.is_empty());
     }
 }

@@ -21,19 +21,14 @@
 //! undetected. `fuzz` only runs when requested explicitly — it is not part
 //! of `all`.
 //!
-//! `--cache-dir DIR` activates the persistent (disk-backed) solver cache for
-//! the whole invocation: a second run pointed at the same directory replays
-//! the first run's verdicts from disk and prints identical tables. A summary
-//! of persistent-cache traffic is printed on exit. `sec85 --report-json
-//! FILE` additionally dumps the sec85 experiment as deterministic JSON
-//! (timing zeroed) — the byte-comparison artifact CI uses to assert
-//! cold-vs-warm identity.
+//! `sec85 --report-json FILE` additionally dumps the sec85 experiment as
+//! deterministic JSON (timing zeroed) — the byte-comparison artifact CI uses
+//! to assert that two separate processes produce identical reports.
 
 use symnet_bench::{
     fig8, sec83, sec84, sec85, sec85_report_json, serve, serve_concurrent, table1, table2, table3,
     table4, table5,
 };
-use symnet_solver::cache;
 use symnet_testgen::fuzz::{run_canary, run_fuzz, FuzzConfig};
 
 fn parse_u64(value: &str) -> Option<u64> {
@@ -49,21 +44,12 @@ fn main() {
     let mut clients: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut iters: Option<usize> = None;
-    let mut cache_dir: Option<String> = None;
     let mut report_json: Option<String> = None;
     let mut selected: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--full" {
             full = true;
-        } else if arg == "--cache-dir" {
-            cache_dir = iter.next().cloned();
-            if cache_dir.is_none() {
-                eprintln!("--cache-dir expects a directory path");
-                std::process::exit(2);
-            }
-        } else if let Some(v) = arg.strip_prefix("--cache-dir=") {
-            cache_dir = Some(v.to_string());
         } else if arg == "--report-json" {
             report_json = iter.next().cloned();
             if report_json.is_none() {
@@ -117,23 +103,8 @@ fn main() {
         }
     }
 
-    if let Some(dir) = &cache_dir {
-        match cache::configure(std::path::Path::new(dir)) {
-            Ok(true) => println!("persistent-cache: active at {dir}"),
-            Ok(false) => {
-                eprintln!("persistent-cache: {dir} is locked by another live process; running cold")
-            }
-            Err(e) => {
-                eprintln!("persistent-cache: cannot open {dir}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     if selected.contains(&"fuzz") {
-        let code = fuzz_campaign(seed, iters);
-        finish_cache();
-        std::process::exit(code);
+        std::process::exit(fuzz_campaign(seed, iters));
     }
     let all = selected.is_empty() || selected.contains(&"all");
     let want = |name: &str| all || selected.contains(&name);
@@ -214,7 +185,6 @@ fn main() {
         // or the memos were silently thrashed.
         print_eviction_stats();
     }
-    finish_cache();
 }
 
 /// Prints the process-wide interner eviction counters (see
@@ -230,27 +200,6 @@ fn print_eviction_stats() {
         ev.content.evicted,
         ev.content.sweeps
     );
-}
-
-/// Flushes the persistent cache and prints its traffic summary, if active.
-fn finish_cache() {
-    if !cache::active() {
-        return;
-    }
-    cache::flush();
-    let c = cache::counters();
-    println!(
-        "persistent-cache: verdict hits={} misses={} stores={}, projection hits={} misses={} stores={}, cex hits={} stores={}",
-        c.verdict_hits,
-        c.verdict_misses,
-        c.verdict_stores,
-        c.projection_hits,
-        c.projection_misses,
-        c.projection_stores,
-        c.cex_hits,
-        c.cex_stores
-    );
-    cache::deactivate();
 }
 
 /// Runs the differential fuzzing campaign; returns the process exit code.

@@ -11,10 +11,6 @@
 //! The shim writes flat `{"mean": {"point_estimate": ...}, ...}` objects, so
 //! the snapshot simply embeds each file verbatim under its `group/id` label
 //! (sorted, for diffable output). No JSON parser is needed or used.
-//!
-//! `--cache-dir DIR` reports the on-disk footprint of the persistent solver
-//! cache the bench run used (its `solver-cache.log`), next to the snapshot —
-//! the size trajectory of the store is part of the perf record.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,34 +42,9 @@ fn collect(dir: &Path, base: &Path, out: &mut Vec<(String, String)>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut output: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--cache-dir" {
-            cache_dir = iter.next().cloned();
-            if cache_dir.is_none() {
-                eprintln!("--cache-dir expects a directory path");
-                std::process::exit(2);
-            }
-        } else if let Some(v) = arg.strip_prefix("--cache-dir=") {
-            cache_dir = Some(v.to_string());
-        } else if !arg.starts_with("--") && output.is_none() {
-            output = Some(arg.clone());
-        } else {
-            eprintln!("usage: snapshot-bench [BENCH_<pr>.json] [--cache-dir DIR]");
-            std::process::exit(2);
-        }
-    }
-    let output = output.unwrap_or_else(|| "BENCH.json".to_string());
-    if let Some(dir) = &cache_dir {
-        let log = Path::new(dir).join("solver-cache.log");
-        match fs::metadata(&log) {
-            Ok(meta) => println!("persistent-cache: {} ({} bytes)", log.display(), meta.len()),
-            Err(_) => println!("persistent-cache: {} (no store)", log.display()),
-        }
-    }
+    let output = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH.json".to_string());
     let base = PathBuf::from("target/criterion");
     let mut series: Vec<(String, String)> = Vec::new();
     collect(&base, &base, &mut series);

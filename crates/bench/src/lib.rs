@@ -168,6 +168,10 @@ pub struct SwitchMeasurement {
     pub constraint_atoms: usize,
     /// Wall-clock verification time.
     pub runtime: Duration,
+    /// Solver queries answered `Unknown` (budget overflow or a witness
+    /// search that ran out): paths the solver could neither prove feasible
+    /// nor prune.
+    pub solver_unknown: u64,
 }
 
 /// Runs one switch-model measurement.
@@ -186,6 +190,7 @@ pub fn measure_switch(model: &'static str, entries: usize, ports: usize) -> Swit
         paths: report.delivered().count(),
         constraint_atoms: report.delivered().map(|p| p.state.constraint_atoms()).sum(),
         runtime,
+        solver_unknown: report.solver_stats.unknown,
     }
 }
 
@@ -204,6 +209,7 @@ pub fn fig8(sizes: &[usize], basic_cutoff: usize) -> TableReport {
                         "-".into(),
                         "-".into(),
                         "DNF".into(),
+                        "-".into(),
                     ],
                 });
                 continue;
@@ -216,6 +222,7 @@ pub fn fig8(sizes: &[usize], basic_cutoff: usize) -> TableReport {
                     m.paths.to_string(),
                     m.constraint_atoms.to_string(),
                     ms(m.runtime),
+                    m.solver_unknown.to_string(),
                 ],
             });
         }
@@ -228,6 +235,7 @@ pub fn fig8(sizes: &[usize], basic_cutoff: usize) -> TableReport {
             "Paths".into(),
             "Constraints".into(),
             "Runtime".into(),
+            "Unknown".into(),
         ],
         rows,
     }
@@ -252,6 +260,9 @@ pub struct RouterMeasurement {
     /// work (the paper reports >90% of runtime is solver time), which the
     /// shape tests assert on instead of flaky wall-clock ratios.
     pub solver_calls: u64,
+    /// Solver queries answered `Unknown` (see
+    /// [`SwitchMeasurement::solver_unknown`]).
+    pub solver_unknown: u64,
 }
 
 /// Runs one router measurement on the synthetic FIB truncated to `prefixes`.
@@ -270,6 +281,7 @@ pub fn measure_router(model: &'static str, fib: &Fib, prefixes: usize) -> Router
         paths: report.delivered().count(),
         runtime,
         solver_calls: report.solver_stats.calls,
+        solver_unknown: report.solver_stats.unknown,
     }
 }
 
@@ -289,7 +301,13 @@ pub fn table2(total: usize, basic_cutoff: usize, ingress_cutoff: usize) -> Table
             };
             if prefixes > cutoff {
                 rows.push(Row {
-                    cells: vec![prefixes.to_string(), model.into(), "-".into(), "DNF".into()],
+                    cells: vec![
+                        prefixes.to_string(),
+                        model.into(),
+                        "-".into(),
+                        "DNF".into(),
+                        "-".into(),
+                    ],
                 });
                 continue;
             }
@@ -300,6 +318,7 @@ pub fn table2(total: usize, basic_cutoff: usize, ingress_cutoff: usize) -> Table
                     m.model.into(),
                     m.paths.to_string(),
                     ms(m.runtime),
+                    m.solver_unknown.to_string(),
                 ],
             });
         }
@@ -311,6 +330,7 @@ pub fn table2(total: usize, basic_cutoff: usize, ingress_cutoff: usize) -> Table
             "Model".into(),
             "Paths".into(),
             "Runtime".into(),
+            "Unknown".into(),
         ],
         rows,
     }
@@ -725,8 +745,9 @@ pub fn sec85(access_switches: usize, mac_entries: usize, routes: usize) -> Table
         cells: vec![
             "Solver cache (outbound)".into(),
             format!(
-                "{} calls, prefix cache {} hits / {} misses, memo {} hits / {} misses",
+                "{} calls ({} unknown), prefix cache {} hits / {} misses, memo {} hits / {} misses",
                 stats.calls,
+                stats.unknown,
                 stats.prefix_hits,
                 stats.prefix_misses,
                 stats.memo_hits,
@@ -787,9 +808,8 @@ pub fn sec85(access_switches: usize, mac_entries: usize, routes: usize) -> Table
 /// the same binary produce byte-identical output.
 ///
 /// This is the comparison form behind the `paper -- sec85 --report-json`
-/// flag: the persistent solver cache replays the exact counters of the
-/// computation it memoized, so this JSON is byte-identical between a cold
-/// run and a warm-disk run — CI asserts exactly that.
+/// flag: CI writes it from two separate processes and asserts the files are
+/// byte-identical.
 pub fn sec85_report_json(access_switches: usize, mac_entries: usize, routes: usize) -> String {
     use symnet_core::report::report_to_json;
     use symnet_models::scenarios::{department, DepartmentConfig};

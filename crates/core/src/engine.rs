@@ -84,13 +84,6 @@ pub struct ExecConfig {
     pub threads: usize,
     /// Constraint-solver limits.
     pub solver: SolverConfig,
-    /// Optional directory for the persistent (disk-backed) solver cache.
-    /// The cache itself is process-global, so this is activated *once* per
-    /// process — by [`ExecConfig::activate_cache`] from whoever owns the
-    /// entry point (the `paper` binary, [`crate::SymNetServer::start`]) —
-    /// not per run. `None` (the default) leaves the disk layer off; the
-    /// in-process memos are unaffected either way.
-    pub cache_dir: Option<std::path::PathBuf>,
 }
 
 impl ExecConfig {
@@ -106,25 +99,6 @@ impl ExecConfig {
         self.threads = threads.max(1);
         self
     }
-
-    /// Returns this configuration with a persistent solver-cache directory.
-    pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Points the process-global persistent solver cache at
-    /// [`ExecConfig::cache_dir`], warm-loading any records a previous process
-    /// left there. Returns `Ok(true)` when the cache is active, `Ok(false)`
-    /// when no directory is configured *or* another live process holds the
-    /// store lock (the run proceeds with a cold cache — degraded, never
-    /// wrong).
-    pub fn activate_cache(&self) -> std::io::Result<bool> {
-        match &self.cache_dir {
-            Some(dir) => symnet_solver::cache::configure(dir),
-            None => Ok(false),
-        }
-    }
 }
 
 impl Default for ExecConfig {
@@ -137,7 +111,6 @@ impl Default for ExecConfig {
             max_paths: 100_000,
             threads: ExecConfig::default_threads(),
             solver: SolverConfig::default(),
-            cache_dir: None,
         }
     }
 }

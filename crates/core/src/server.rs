@@ -444,11 +444,6 @@ impl SymNetServer {
     /// Starts a server over `network` at epoch 0.
     pub fn start(network: Network, config: ServerConfig) -> SymNetServer {
         let workers = config.workers.max(1);
-        // Warm-start: a restarted server pointed at the same cache directory
-        // replays the previous process's verdicts from disk. Failure to open
-        // the store (locked by a live peer, I/O error) degrades to a cold
-        // cache — serving never depends on the disk layer.
-        let _ = config.exec.activate_cache();
         let shared = Arc::new(Shared {
             admission: Admission::new(config.capacity),
             pool: StealScheduler::persistent(workers),

@@ -111,11 +111,6 @@ pub fn eviction_stats() -> MemoEvictionStats {
 struct Entry<T> {
     hash: u64,
     id: u64,
-    /// Stable structural fingerprint (see [`crate::fingerprint`]), computed
-    /// lazily on first use and cached for the canonical allocation's lifetime
-    /// — every path node and persistent-cache key sharing this entry reuses
-    /// the one traversal.
-    fp: OnceLock<u128>,
     value: T,
 }
 
@@ -139,16 +134,6 @@ impl<T> Interned<T> {
     /// True when both handles point at the same canonical allocation.
     pub fn ptr_eq(a: &Interned<T>, b: &Interned<T>) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
-    }
-
-    /// The stable structural fingerprint of this value, computing it with
-    /// `compute` on first call and caching it on the canonical allocation.
-    ///
-    /// `compute` must be a pure function of the value's structure (see
-    /// [`crate::fingerprint`]); every caller for a given `T` must pass the
-    /// same function, since whichever call arrives first wins the cache slot.
-    pub fn fingerprint_or(&self, compute: impl FnOnce(&T) -> u128) -> u128 {
-        *self.0.fp.get_or_init(|| compute(&self.0.value))
     }
 }
 
@@ -292,7 +277,6 @@ impl<T: Hash + Eq> Interner<T> {
         let interned = Interned(Arc::new(Entry {
             hash,
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            fp: OnceLock::new(),
             value,
         }));
         // New entries start cold: a value never hit again is evicted by the

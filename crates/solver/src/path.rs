@@ -17,7 +17,6 @@
 //! counts.
 
 use crate::cube::{Cube, CubeOverflow};
-use crate::fingerprint;
 use crate::formula::Formula;
 use crate::intern::{self, Interned};
 use crate::solve::SolverResult;
@@ -47,11 +46,6 @@ pub struct PathNode {
     id: u64,
     formula: Interned<Formula>,
     content: u64,
-    /// Stable structural fingerprint of the whole prefix ending here — the
-    /// cross-*process* analogue of `content`: equal conjunct sequences produce
-    /// equal fingerprints in every run (see [`crate::fingerprint`]), which is
-    /// what keys the persistent solver cache.
-    fp: u128,
     parent: PathCond,
     len: usize,
     pub(crate) cache: Mutex<NodeCache>,
@@ -81,15 +75,6 @@ impl PathNode {
     /// independently built paths — this is the cross-run memo key.
     pub fn content_id(&self) -> u64 {
         self.content
-    }
-
-    /// The stable structural fingerprint of the whole prefix ending at this
-    /// node. Like [`PathNode::content_id`] it identifies the conjunct
-    /// *sequence* independent of which nodes carry it, but unlike a content id
-    /// it is reproduced bit-identically by every process that builds the same
-    /// sequence — this is the persistent-cache key.
-    pub fn fingerprint(&self) -> u128 {
-        self.fp
     }
 
     /// The shared prefix this node extends.
@@ -145,16 +130,10 @@ impl PathCond {
         }
         let formula = intern::intern_formula(formula);
         let content = intern::content_id(self.content_id(), formula.id());
-        let conjunct_fp = formula.fingerprint_or(fingerprint::formula_fp);
-        let fp = fingerprint::combine(
-            fingerprint::DOMAIN_PATH_NODE,
-            &[self.fingerprint(), conjunct_fp],
-        );
         PathCond(Some(Arc::new(PathNode {
             id: NEXT_NODE_ID.fetch_add(1, Ordering::Relaxed),
             formula,
             content,
-            fp,
             parent: self.clone(),
             len: self.len() + 1,
             cache: Mutex::new(NodeCache::default()),
@@ -169,14 +148,6 @@ impl PathCond {
         self.0
             .as_ref()
             .map_or(intern::EMPTY_CONTENT_ID, |n| n.content)
-    }
-
-    /// The stable structural fingerprint of the conjunct sequence
-    /// ([`fingerprint::EMPTY_PATH_FP`] for the empty condition). Equal across
-    /// independently built paths *and across processes* — see
-    /// [`PathNode::fingerprint`].
-    pub fn fingerprint(&self) -> u128 {
-        self.0.as_ref().map_or(fingerprint::EMPTY_PATH_FP, |n| n.fp)
     }
 
     /// Iterates over the conjuncts, newest first.
@@ -376,27 +347,6 @@ mod tests {
             ])
         );
         assert_eq!(PathCond::empty().to_formula(), Formula::True);
-    }
-
-    #[test]
-    fn fingerprints_depend_only_on_content() {
-        let parts = [
-            Formula::eq_const(v(40), 1),
-            Formula::cmp_const(CmpOp::Lt, v(41), 9),
-        ];
-        let a: PathCond = parts.iter().cloned().collect();
-        let b: PathCond = parts.iter().cloned().collect();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), PathCond::empty().fingerprint());
-        assert_eq!(PathCond::empty().fingerprint(), fingerprint::EMPTY_PATH_FP);
-        // Order is significant: swapped conjuncts are a different sequence.
-        let swapped: PathCond = parts.iter().rev().cloned().collect();
-        assert_ne!(a.fingerprint(), swapped.fingerprint());
-        // The prefix fingerprint is the parent node's fingerprint.
-        assert_eq!(
-            a.node().unwrap().parent().fingerprint(),
-            PathCond::empty().push(parts[0].clone()).fingerprint()
-        );
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!    against every literal — `Sat` is only ever reported together with a
 //!    verified [`Model`].
 
-use crate::cache;
 use crate::cube::{append_conjunct, to_cubes, Cube, CubeOverflow, Literal};
-use crate::fingerprint;
 use crate::formula::{CmpOp, Formula};
 use crate::interval::IntervalSet;
 use crate::model::Model;
@@ -45,13 +43,6 @@ pub struct SolverConfig {
     /// materialised into a single formula and solved from scratch — the
     /// baseline the benchmarks compare against.
     pub incremental: bool,
-    /// Consult and populate the process-wide persistent cache
-    /// ([`crate::cache`]) when one is configured. Has no effect while no
-    /// cache directory is active; disabling it opts this solver out even when
-    /// one is. Like `incremental`, this knob selects *how* answers are
-    /// obtained, never *what* they are, so it is excluded from the
-    /// config fingerprint mixed into cache keys.
-    pub persistent: bool,
 }
 
 impl Default for SolverConfig {
@@ -62,7 +53,6 @@ impl Default for SolverConfig {
             max_propagation_rounds: 64,
             samples_per_var: 6,
             incremental: true,
-            persistent: true,
         }
     }
 }
@@ -183,9 +173,9 @@ fn feasible_memo() -> &'static ContentMemo<(u64, SymVar, ConfigKey), (Option<Int
 }
 
 /// Clears the process-wide content memos. Benchmarks use this to measure a
-/// genuinely cold (or warm-disk-only) run inside a process that has already
-/// explored the same scenario; correctness never depends on memo contents, so
-/// production code has no reason to call it.
+/// genuinely cold run inside a process that has already explored the same
+/// scenario; correctness never depends on memo contents, so production code
+/// has no reason to call it.
 #[doc(hidden)]
 pub fn reset_process_memos() {
     path_memo().clear_all();
@@ -241,23 +231,6 @@ impl Solver {
         )
     }
 
-    /// True when this solver should consult the persistent disk cache: the
-    /// config opts in *and* a cache directory is configured process-wide.
-    fn persistent_enabled(&self) -> bool {
-        self.config.persistent && cache::active()
-    }
-
-    /// The stable fingerprint of the verdict-affecting config knobs, mixed
-    /// into every persistent-cache key (see [`fingerprint::config_fp`]).
-    fn config_fp(&self) -> u128 {
-        fingerprint::config_fp(
-            self.config.max_cubes,
-            self.config.max_model_attempts,
-            self.config.max_propagation_rounds,
-            self.config.samples_per_var,
-        )
-    }
-
     /// Resets the accumulated statistics.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
@@ -287,34 +260,7 @@ impl Solver {
             return result;
         }
         self.stats.memo_misses += 1;
-        // Persistent layer: a prior run (or an earlier solver in this one)
-        // may have decided this exact formula under this exact config. A hit
-        // replays the verdict and the cubes-examined count of the original
-        // computation, so the serialized counters are identical warm or cold.
-        let persist_key = self.persistent_enabled().then(|| {
-            fingerprint::combine(
-                fingerprint::DOMAIN_CHECK,
-                &[fingerprint::formula_fp(formula), self.config_fp()],
-            )
-        });
-        let (result, examined) = match persist_key.and_then(cache::lookup_verdict) {
-            Some((result, examined)) => {
-                self.stats.persisted_hits += 1;
-                (result, examined)
-            }
-            None => {
-                let (result, examined) = self.solve_formula(formula);
-                if let Some(key) = persist_key {
-                    self.stats.persisted_misses += 1;
-                    self.stats.persisted_stores += 1;
-                    // `Unknown` is stored too: a cube-budget overflow is a
-                    // deterministic function of (formula, config), so caching
-                    // it saves the re-normalisation.
-                    cache::store_verdict(key, &result, examined);
-                }
-                (result, examined)
-            }
-        };
+        let (result, examined) = self.solve_formula(formula);
         self.stats.cubes_examined += examined;
         self.record_outcome(&result);
         if self.memo_check.len() >= MEMO_CAPACITY {
@@ -367,17 +313,27 @@ impl Solver {
     }
 
     /// The core decision loop: examines cubes in order, first satisfiable cube
-    /// wins. Returns the result (a `Sat` model covers only the winning cube's
-    /// variables) and the number of cubes examined. No statistics are touched.
+    /// wins. `Unsat` only when every cube was refuted; a cube whose witness
+    /// search ran out makes the answer `Unknown`. Returns the result (a `Sat`
+    /// model covers only the winning cube's variables) and the number of cubes
+    /// examined. No statistics are touched.
     fn solve_cubes(&self, cubes: &[Cube]) -> (SolverResult, u64) {
         let mut examined = 0u64;
+        let mut ran_out = false;
         for cube in cubes {
             examined += 1;
-            if let Some(model) = self.solve_cube(cube) {
-                return (SolverResult::Sat(model), examined);
+            match self.solve_cube(cube) {
+                Witness::Found(model) => return (SolverResult::Sat(model), examined),
+                Witness::Refuted => {}
+                Witness::RanOut => ran_out = true,
             }
         }
-        (SolverResult::Unsat, examined)
+        let result = if ran_out {
+            SolverResult::Unknown
+        } else {
+            SolverResult::Unsat
+        };
+        (result, examined)
     }
 
     /// Bumps the sat/unsat/unknown counter matching a result.
@@ -450,85 +406,6 @@ impl Solver {
         result
     }
 
-    /// Returns a witness for a persistent path condition, consulting the
-    /// persistent counterexample cache first (KLEE-style): the path's conjunct
-    /// set is looked up exactly, then a cached witness for a *superset* of the
-    /// conjuncts is tried (anything satisfying more constraints satisfies
-    /// fewer). Every candidate drawn from disk is re-verified against the
-    /// materialised formula before being returned, so a stale or corrupt
-    /// cache can cost time but never produce a wrong witness. Cache-provided
-    /// `Unsat` answers are trusted only for the *exact* conjunct set (and
-    /// config), where they replay a verdict this same deterministic procedure
-    /// produced. Without an active cache this is just
-    /// [`Solver::check_path`] filtered to `Sat`.
-    pub fn model_path_cached(&mut self, path: &PathCond) -> Option<Model> {
-        if !self.persistent_enabled() {
-            return match self.check_path(path) {
-                SolverResult::Sat(m) => Some(m),
-                _ => None,
-            };
-        }
-        // The conjunct set, as an unordered bag of formula fingerprints, plus
-        // an always-present config atom: an `Unsat` entry replays a verdict of
-        // this decision procedure, so it must never cross config budgets.
-        let mut atoms = vec![fingerprint::combine(
-            fingerprint::DOMAIN_CEX,
-            &[self.config_fp()],
-        )];
-        let mut cursor = path.node();
-        while let Some(node) = cursor {
-            atoms.push(
-                node.interned_formula()
-                    .fingerprint_or(fingerprint::formula_fp),
-            );
-            cursor = node.parent().node();
-        }
-        match cache::cex_decide(&atoms) {
-            Some(cache::CexDecision::Exact { sat: false, .. }) => {
-                cache::record_cex_hit();
-                self.stats.cex_hits += 1;
-                return None;
-            }
-            Some(cache::CexDecision::Exact { model, .. })
-            | Some(cache::CexDecision::SupersetSat { model }) => {
-                if let Some(model) = self.verify_candidate(path, model) {
-                    cache::record_cex_hit();
-                    self.stats.cex_hits += 1;
-                    return Some(model);
-                }
-            }
-            // Subset-Unsat is advisory only: this solver's Unsat is based on
-            // bounded search, so a subset being "unsat" proves nothing about
-            // the superset under a different exploration — fall through.
-            Some(cache::CexDecision::SubsetUnsat) | None => {}
-        }
-        match self.check_path(path) {
-            SolverResult::Sat(model) => {
-                cache::cex_store(&atoms, true, &model);
-                Some(model)
-            }
-            SolverResult::Unsat => {
-                cache::cex_store(&atoms, false, &Model::new());
-                None
-            }
-            SolverResult::Unknown => None,
-        }
-    }
-
-    /// Re-verifies a cached witness candidate against the materialised path
-    /// formula, padding variables the formula mentions but the candidate does
-    /// not with zero (the same padding [`Solver::check`] applies to `Sat`
-    /// witnesses). Returns the padded model only if it actually satisfies.
-    fn verify_candidate(&self, path: &PathCond, mut model: Model) -> Option<Model> {
-        let formula = path.to_formula();
-        for var in formula.variables() {
-            if model.value(var.id).is_none() {
-                model.set(var.id, 0);
-            }
-        }
-        model.satisfies(&formula).then_some(model)
-    }
-
     fn check_path_inner(&mut self, path: &PathCond) -> SolverResult {
         let Some(node) = path.node() else {
             return SolverResult::Sat(Model::new());
@@ -574,37 +451,9 @@ impl Solver {
         }
         self.stats.memo_misses += 1;
         self.stats.content_misses += 1;
-        // The cube normalisation always runs exactly as it would cold (it
-        // also fills the node cache the prefix chain shares); the persistent
-        // layer can only skip `solve_cubes`, replaying the stored verdict and
-        // examined count. An overflow never consults the store — cold
-        // behaviour is `Unknown` without solving, and staying identical to it
-        // keeps reports byte-equal warm vs cold.
         let (result, examined) = match self.cubes_locked(&node, &mut guard, true) {
             Err(_) => (SolverResult::Unknown, 0),
-            Ok(cubes) => {
-                let persist_key = self.persistent_enabled().then(|| {
-                    fingerprint::combine(
-                        fingerprint::DOMAIN_PATH,
-                        &[node.fingerprint(), self.config_fp()],
-                    )
-                });
-                match persist_key.and_then(cache::lookup_verdict) {
-                    Some((result, examined)) => {
-                        self.stats.persisted_hits += 1;
-                        (result, examined)
-                    }
-                    None => {
-                        let (result, examined) = self.solve_cubes(&cubes);
-                        if let Some(key) = persist_key {
-                            self.stats.persisted_misses += 1;
-                            self.stats.persisted_stores += 1;
-                            cache::store_verdict(key, &result, examined);
-                        }
-                        (result, examined)
-                    }
-                }
-            }
+            Ok(cubes) => self.solve_cubes(&cubes),
         };
         self.stats.cubes_examined += examined;
         guard.result = Some(result.clone());
@@ -639,35 +488,7 @@ impl Solver {
             Err(_) => (SolverResult::Unknown, 0),
             Ok(prefix) => match append_conjunct(&prefix, extra, self.config.max_cubes) {
                 Err(_) => (SolverResult::Unknown, 0),
-                Ok(cubes) => {
-                    // Persistent layer, after the prefix reuse and conjunct
-                    // fold ran exactly as cold: only `solve_cubes` is skipped.
-                    let persist_key = self.persistent_enabled().then(|| {
-                        fingerprint::combine(
-                            fingerprint::DOMAIN_ASSUMING,
-                            &[
-                                path.fingerprint(),
-                                fingerprint::formula_fp(extra),
-                                self.config_fp(),
-                            ],
-                        )
-                    });
-                    match persist_key.and_then(cache::lookup_verdict) {
-                        Some((result, examined)) => {
-                            self.stats.persisted_hits += 1;
-                            (result, examined)
-                        }
-                        None => {
-                            let (result, examined) = self.solve_cubes(&cubes);
-                            if let Some(key) = persist_key {
-                                self.stats.persisted_misses += 1;
-                                self.stats.persisted_stores += 1;
-                                cache::store_verdict(key, &result, examined);
-                            }
-                            (result, examined)
-                        }
-                    }
-                }
+                Ok(cubes) => self.solve_cubes(&cubes),
             },
         };
         self.stats.cubes_examined += examined;
@@ -727,65 +548,18 @@ impl Solver {
         }
         self.stats.memo_misses += 1;
         self.stats.content_misses += 1;
-        // Persistent layer: consulted only when the tip is already cached,
-        // for the same reason the in-process memo is — a hit must replay a
-        // computation with *no* quiet-fill side effect on the prefix chain,
-        // or node-cache state would differ between warm and cold runs. When
-        // the tip is not cached the projection is computed cold (with its
-        // quiet fill) and stored without a lookup, so warm runs never report
-        // a projection miss for keys the cold run stored.
-        let persist_key = (tip_cached && self.persistent_enabled()).then(|| {
-            fingerprint::combine(
-                fingerprint::DOMAIN_PROJECTION,
-                &[
-                    path.fingerprint(),
-                    fingerprint::var_fp(var),
-                    self.config_fp(),
-                ],
-            )
-        });
-        let (result, examined) = match persist_key.and_then(cache::lookup_projection) {
-            Some((result, examined)) => {
-                self.stats.persisted_hits += 1;
-                match &result {
-                    Some(_) => self.stats.sat += 1,
-                    None => self.stats.unknown += 1,
-                }
-                (result, examined)
+        // Quiet prefix access: whether the global memo already held the
+        // projection is warm-state-dependent, so the shared prefix counters
+        // must not be driven from here.
+        let (result, examined) = match self.prefix_cubes(path, false) {
+            Err(_) => {
+                self.stats.unknown += 1;
+                (None, 0)
             }
-            None => {
-                if persist_key.is_some() {
-                    self.stats.persisted_misses += 1;
-                }
-                // Quiet prefix access: whether the global memo already held
-                // the projection is warm-state-dependent, so the shared
-                // prefix counters must not be driven from here.
-                let (result, examined) = match self.prefix_cubes(path, false) {
-                    Err(_) => {
-                        self.stats.unknown += 1;
-                        (None, 0)
-                    }
-                    Ok(cubes) => {
-                        let (acc, examined) = self.project_cubes(&cubes, var);
-                        self.stats.sat += 1;
-                        (Some(acc), examined)
-                    }
-                };
-                if self.persistent_enabled() {
-                    let key = persist_key.unwrap_or_else(|| {
-                        fingerprint::combine(
-                            fingerprint::DOMAIN_PROJECTION,
-                            &[
-                                path.fingerprint(),
-                                fingerprint::var_fp(var),
-                                self.config_fp(),
-                            ],
-                        )
-                    });
-                    self.stats.persisted_stores += 1;
-                    cache::store_projection(key, &result, examined);
-                }
-                (result, examined)
+            Ok(cubes) => {
+                let (acc, examined) = self.project_cubes(&cubes, var);
+                self.stats.sat += 1;
+                (Some(acc), examined)
             }
         };
         self.stats.cubes_examined += examined;
@@ -893,11 +667,13 @@ impl Solver {
         self.analyze_cube(cube).map(|a| (a.uf, a.domains))
     }
 
-    /// Decides a single cube, returning a verified witness if it is
-    /// satisfiable.
-    fn solve_cube(&self, cube: &Cube) -> Option<Model> {
-        let analysis = self.analyze_cube(cube)?;
-        self.search_witness(&analysis)
+    /// Decides a single cube: a verified witness, a refutation, or a search
+    /// that ran out.
+    fn solve_cube(&self, cube: &Cube) -> Witness {
+        match self.analyze_cube(cube) {
+            Some(analysis) => self.search_witness(&analysis),
+            None => Witness::Refuted,
+        }
     }
 
     /// Runs the constraint-propagation phase on a cube: union-find over
@@ -1077,8 +853,10 @@ impl Solver {
 
     /// Searches for a concrete witness of an analysed cube by enumerating
     /// sampled candidate values per equivalence-class root and re-checking
-    /// every literal.
-    fn search_witness(&self, analysis: &CubeAnalysis) -> Option<Model> {
+    /// every literal. The cube is refuted only when the samples of every root
+    /// are its whole domain and the enumeration finished within
+    /// [`SolverConfig::max_model_attempts`]; any other failed search ran out.
+    fn search_witness(&self, analysis: &CubeAnalysis) -> Witness {
         let CubeAnalysis {
             uf,
             domains,
@@ -1093,8 +871,17 @@ impl Solver {
             .iter()
             .map(|r| domains[r].samples(self.config.samples_per_var))
             .collect();
+        let exhaustive = roots
+            .iter()
+            .zip(&candidates)
+            .all(|(r, c)| domains[r].cardinality() == c.len() as u128);
+        let failed = if exhaustive {
+            Witness::Refuted
+        } else {
+            Witness::RanOut
+        };
         if candidates.iter().any(Vec::is_empty) {
-            return None;
+            return failed;
         }
         let check = |assignment: &BTreeMap<SymVar, i128>| -> bool {
             for (op, l, r) in root_orderings {
@@ -1118,7 +905,7 @@ impl Solver {
         loop {
             attempt += 1;
             if attempt > self.config.max_model_attempts {
-                return None;
+                return Witness::RanOut;
             }
             let assignment: BTreeMap<SymVar, i128> = roots
                 .iter()
@@ -1144,14 +931,14 @@ impl Solver {
                     model.set(var.id, value as u64);
                 }
                 if ok {
-                    return Some(model);
+                    return Witness::Found(model);
                 }
             }
             // Advance the index vector (odometer order).
             let mut pos = 0usize;
             loop {
                 if pos >= roots.len() {
-                    return None;
+                    return failed;
                 }
                 indices[pos] += 1;
                 if indices[pos] < candidates[pos].len() {
@@ -1162,6 +949,17 @@ impl Solver {
             }
         }
     }
+}
+
+/// Outcome of the witness search on one cube.
+enum Witness {
+    /// A verified witness.
+    Found(Model),
+    /// No assignment satisfies the cube: propagation refuted it, or the
+    /// search enumerated every root's whole domain.
+    Refuted,
+    /// The search stopped without a witness; the cube may be satisfiable.
+    RanOut,
 }
 
 /// An ordering literal rewritten over terms: `lhs.0 + lhs.1  op  rhs.0 + rhs.1`.
@@ -1503,6 +1301,49 @@ mod tests {
         assert!(m.value(len.id).unwrap() < 1516);
         let g = Formula::and(vec![f, Formula::cmp_const(CmpOp::Ge, len, 1516)]);
         assert!(s.is_unsat(&g));
+    }
+
+    #[test]
+    fn exhausted_witness_search_is_unknown_not_unsat() {
+        // Over 4-bit s0, s1 the orderings and disequalities force
+        // s1 = s0 - 1, which none of the sampled value pairs hits; s0 = 1,
+        // s1 = 0 is a witness, so the cube must not be reported `Unsat`.
+        let mut s = solver();
+        let s0 = v(0, 4);
+        let s1 = v(1, 4);
+        let f = Formula::and(vec![
+            Formula::ne_const(s0, 15),
+            Formula::ne_const(s1, 7),
+            Formula::ne_const(s1, 12),
+            Formula::ne_const(s1, 13),
+            Formula::cmp(CmpOp::Ne, Term::var(s1), Term::var(s0)),
+            Formula::cmp(CmpOp::Ne, Term::var(s1), Term::var(s0).plus(1)),
+            Formula::cmp(CmpOp::Lt, Term::var(s1), Term::var(s0).plus(2)),
+            Formula::cmp(CmpOp::Lt, Term::var(s0), Term::var(s1).plus(2)),
+        ]);
+        let mut witness = Model::new();
+        witness.set(s0.id, 1);
+        witness.set(s1.id, 0);
+        assert!(witness.satisfies(&f));
+        assert_ne!(s.check(&f), SolverResult::Unsat);
+    }
+
+    #[test]
+    fn exhaustive_search_over_small_domains_proves_unsat() {
+        // Both domains are enumerated completely by the samples, so a failed
+        // search is a refutation: x, y in {0, 1} with x != y, x != y + 1 and
+        // y != x + 1 has no solution.
+        let mut s = solver();
+        let x = v(0, 8);
+        let y = v(1, 8);
+        let f = Formula::and(vec![
+            Formula::cmp_const(CmpOp::Le, x, 1),
+            Formula::cmp_const(CmpOp::Le, y, 1),
+            Formula::cmp(CmpOp::Ne, Term::var(x), Term::var(y)),
+            Formula::cmp(CmpOp::Ne, Term::var(x), Term::var(y).plus(1)),
+            Formula::cmp(CmpOp::Ne, Term::var(y), Term::var(x).plus(1)),
+        ]);
+        assert_eq!(s.check(&f), SolverResult::Unsat);
     }
 
     #[test]

@@ -50,26 +50,12 @@ pub struct SolverStats {
     /// see [`SolverStats::content_hits`]).
     #[serde(skip)]
     pub content_misses: u64,
-    /// Persistent-cache hits: queries answered by replaying a verdict or
-    /// projection from the disk-backed store (see [`crate::cache`]). Excluded
-    /// from serialized reports: warm-vs-cold disk state must not change
-    /// report bytes (hits replay the exact counters of a real computation).
+    /// Always 0: the disk-backed solver cache tier that counted these hits
+    /// was removed. The benchmark under `perfbench/` asserts that the tier is
+    /// off through this field; it goes with the benchmark's next revision.
+    #[doc(hidden)]
     #[serde(skip)]
     pub persisted_hits: u64,
-    /// Persistent-cache misses: consultable queries the store could not
-    /// answer (excluded from serialized reports, see
-    /// [`SolverStats::persisted_hits`]).
-    #[serde(skip)]
-    pub persisted_misses: u64,
-    /// Verdicts/projections written to the persistent store (excluded from
-    /// serialized reports, see [`SolverStats::persisted_hits`]).
-    #[serde(skip)]
-    pub persisted_stores: u64,
-    /// Counterexample-cache hits: witness requests satisfied by a cached
-    /// (and re-verified) model or exact cached `Unsat` (excluded from
-    /// serialized reports, see [`SolverStats::persisted_hits`]).
-    #[serde(skip)]
-    pub cex_hits: u64,
     /// Cumulative wall-clock time spent inside the solver.
     #[serde(with = "duration_micros")]
     pub time_in_solver: Duration,
@@ -94,10 +80,6 @@ impl SolverStats {
         self.memo_misses += other.memo_misses;
         self.content_hits += other.content_hits;
         self.content_misses += other.content_misses;
-        self.persisted_hits += other.persisted_hits;
-        self.persisted_misses += other.persisted_misses;
-        self.persisted_stores += other.persisted_stores;
-        self.cex_hits += other.cex_hits;
         self.time_in_solver += other.time_in_solver;
     }
 }
@@ -133,11 +115,8 @@ mod tests {
             memo_misses: 3,
             content_hits: 2,
             content_misses: 1,
-            persisted_hits: 3,
-            persisted_misses: 2,
-            persisted_stores: 2,
-            cex_hits: 1,
             time_in_solver: Duration::from_millis(10),
+            ..SolverStats::default()
         };
         let b = SolverStats {
             calls: 3,
@@ -151,11 +130,8 @@ mod tests {
             memo_misses: 1,
             content_hits: 1,
             content_misses: 4,
-            persisted_hits: 1,
-            persisted_misses: 1,
-            persisted_stores: 1,
-            cex_hits: 2,
             time_in_solver: Duration::from_millis(5),
+            ..SolverStats::default()
         };
         a.merge(&b);
         assert_eq!(a.calls, 5);
@@ -169,10 +145,6 @@ mod tests {
         assert_eq!(a.memo_misses, 4);
         assert_eq!(a.content_hits, 3);
         assert_eq!(a.content_misses, 5);
-        assert_eq!(a.persisted_hits, 4);
-        assert_eq!(a.persisted_misses, 3);
-        assert_eq!(a.persisted_stores, 3);
-        assert_eq!(a.cex_hits, 3);
         assert_eq!(a.time_in_solver, Duration::from_millis(15));
         a.reset();
         assert_eq!(a, SolverStats::default());

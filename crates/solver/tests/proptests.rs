@@ -100,6 +100,47 @@ proptest! {
         prop_assert_eq!(result.is_unsat(), !brute);
     }
 
+    /// Brute-force cross-check on cubes over 2–3 variables of 3–4 bits that
+    /// mix constant exclusions, disequalities and offset orderings — the
+    /// shapes a sampled witness search can miss. The solver may give up with
+    /// `Unknown`, but it must never answer `Unsat` on a satisfiable cube nor
+    /// `Sat` on an unsatisfiable one.
+    #[test]
+    fn multi_var_never_contradicts_bruteforce(
+        shape in (2usize..4, 3u8..5),
+        lits in prop::collection::vec((0usize..6, 0u64..3, 0u64..3, 0u64..16), 1..17),
+    ) {
+        let (n, width) = shape;
+        let vars: Vec<SymVar> = (0..n as u64).map(|i| SymVar::new(i, width)).collect();
+        let max = (1u64 << width) - 1;
+        let atoms: Vec<Formula> = lits
+            .iter()
+            .map(|&(kind, a, b, k)| {
+                // `k` is the constant of a constant literal and, mod 4, the
+                // offset of a cross-variable one.
+                let (va, vb) = (vars[a as usize % n], vars[b as usize % n]);
+                let (ta, tb) = (Term::var(va), Term::var(vb).plus((k % 4) as i128));
+                match kind {
+                    0 | 1 => Formula::ne_const(va, k.min(max)),
+                    2 | 3 => Formula::cmp(CmpOp::Ne, ta, tb),
+                    4 => Formula::cmp(CmpOp::Lt, ta, tb),
+                    _ => Formula::cmp(CmpOp::Le, ta, tb),
+                }
+            })
+            .collect();
+        let f = Formula::and(atoms);
+        let total = 1u64 << (width as u32 * n as u32);
+        let brute = (0..total).any(|code| {
+            f.eval(&|id| Some((code >> (width as u64 * id.0)) & max)) == Some(true)
+        });
+        let result = Solver::default().check(&f);
+        if brute {
+            prop_assert!(!result.is_unsat(), "satisfiable cube answered Unsat: {}", f);
+        } else {
+            prop_assert!(!result.is_sat(), "unsatisfiable cube answered Sat: {}", f);
+        }
+    }
+
     /// The incremental prefix-cached solver must agree with a fresh
     /// from-scratch `Solver` at every step of a random conjunct chain: same
     /// SAT/UNSAT verdicts and identical feasible-value intervals.

@@ -213,59 +213,6 @@ fn random_tree_reports_are_thread_invariant() {
 }
 
 #[test]
-fn reports_are_invariant_under_persistent_cache() {
-    // The persistent solver cache (`symnet_solver::cache`) must be transparent
-    // to every report byte: runs that populate the disk store and runs that
-    // replay verdicts from it serialize identically to the cache-less baseline
-    // at every worker count. Only byte-identity is asserted here, so sibling
-    // tests running concurrently in this binary — whose solver traffic flows
-    // through the cache while it is active — cannot perturb the outcome;
-    // counter-sensitive assertions (hit/miss/store counts) live in
-    // `tests/persistent_cache.rs`, which owns its own process.
-    use symnet_suite::solver::cache;
-    let backbone = stanford_backbone(3, 48);
-    let config = ExecConfig::default();
-    let run = |threads| {
-        canonical(
-            &backbone.network,
-            &config,
-            threads,
-            backbone.access,
-            &symbolic_l3_tcp_packet(),
-        )
-    };
-    let baseline = run(1);
-    let dir = std::env::temp_dir().join(format!("symnet-determinism-cache-{}", std::process::id()));
-    assert!(
-        cache::configure(&dir).expect("cache dir opens"),
-        "per-process temp dir cannot be locked by another process"
-    );
-    symnet_suite::solver::solve::reset_process_memos();
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            run(threads),
-            baseline,
-            "cache-populating run diverged at {threads} workers"
-        );
-    }
-    cache::flush();
-    cache::deactivate();
-    // Reopen warm from disk with the in-process memos cleared: every verdict
-    // now replays from the log, and still not a byte may change.
-    symnet_suite::solver::solve::reset_process_memos();
-    assert!(cache::configure(&dir).expect("cache dir reopens"));
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            run(threads),
-            baseline,
-            "warm-disk run diverged at {threads} workers"
-        );
-    }
-    cache::deactivate();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn max_paths_cap_is_exact_under_work_stealing() {
     // Which paths survive a truncated run is scheduling-dependent, but the
     // *count* must be exact at every worker count: each reported path
